@@ -71,6 +71,7 @@ use harborsim_core::experiments::{
 use harborsim_core::lab::QueryEngine;
 use harborsim_core::script::ast::ExperimentsSpec;
 use harborsim_core::script::{compile_str, flags_script, CompiledScript};
+use harborsim_des::trace::TraceBuffer;
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -396,9 +397,11 @@ fn main() {
     if let Some(t) = taper {
         println!("NOTE: spine taper forced to {t} on every fat-tree fabric for this run.\n");
     }
-    let trace = |name: &str, parts: &[(String, harborsim_des::trace::TraceBuffer)]| {
+    // Trace capture re-runs experiments with a capturing recorder, so the
+    // parts are built only when `--trace` asked for them.
+    let trace = |name: &str, parts: &dyn Fn() -> Vec<(String, TraceBuffer)>| {
         if let Some(dir) = &trace_dir {
-            write_trace(dir, name, parts);
+            write_trace(dir, name, &parts());
         }
     };
     let t0 = Instant::now();
@@ -465,7 +468,7 @@ fn main() {
         println!("{}", f1.to_ascii(72, 18));
         all_ok &= report_shapes("fig1", &fig1::check_shape(&f1));
         summary.push(("fig1", f1.to_json()));
-        trace("fig1", &fig1::traces(&lab, seeds[0]));
+        trace("fig1", &|| fig1::traces(&lab, seeds[0]));
     }
 
     if selected("fig2") {
@@ -475,7 +478,7 @@ fn main() {
         println!("{}", f2.to_ascii(72, 18));
         all_ok &= report_shapes("fig2", &fig2::check_shape(&f2));
         summary.push(("fig2", f2.to_json()));
-        trace("fig2", &fig2::traces(&lab, seeds[0]));
+        trace("fig2", &|| fig2::traces(&lab, seeds[0]));
     }
 
     if selected("fig3") {
@@ -485,7 +488,7 @@ fn main() {
         println!("{}", f3.to_ascii(72, 18));
         all_ok &= report_shapes("fig3", &fig3::check_shape(&f3));
         summary.push(("fig3", f3.to_json()));
-        trace("fig3", &fig3::traces(&lab, seeds[0]));
+        trace("fig3", &|| fig3::traces(&lab, seeds[0]));
     }
 
     if selected("tables") {
@@ -495,7 +498,7 @@ fn main() {
         println!("{}", td.to_ascii());
         all_ok &= report_shapes("table-deployment", &tables::check_deployment_shape(&td));
         summary.push(("table_deployment", td.to_json()));
-        trace("table-deployment", &tables::deployment_traces());
+        trace("table-deployment", &tables::deployment_traces);
 
         println!("\n== Table: portability across three architectures ==");
         let tp = tables::portability(&lab, seeds);
@@ -512,7 +515,7 @@ fn main() {
         println!("{}", fe.to_ascii(72, 18));
         all_ok &= report_shapes("ext-io", &ext_io::check_shape(&fe));
         summary.push(("ext_io", fe.to_json()));
-        trace("ext-io", &ext_io::traces());
+        trace("ext-io", &ext_io::traces);
     }
 
     if selected("ext-breakdown") {
@@ -523,7 +526,7 @@ fn main() {
         println!("{}", tb.to_ascii());
         all_ok &= report_shapes("ext-breakdown", &ext_breakdown::check_shape(&rows));
         summary.push(("ext_breakdown", tb.to_json()));
-        trace("ext-breakdown", &ext_breakdown::traces(&rows));
+        trace("ext-breakdown", &|| ext_breakdown::traces(&rows));
     }
 
     if selected("ext-campaign") {
@@ -534,7 +537,7 @@ fn main() {
         println!("{}", tc.to_ascii());
         all_ok &= report_shapes("ext-campaign", &ext_campaign::check_shape(&rows));
         summary.push(("ext_campaign", tc.to_json()));
-        trace("ext-campaign", &ext_campaign::traces());
+        trace("ext-campaign", &ext_campaign::traces);
     }
 
     if selected("ext-open-system") {
@@ -545,7 +548,9 @@ fn main() {
         println!("{}", to.to_ascii());
         all_ok &= report_shapes("ext-open-system", &ext_open_system::check_shape(&data));
         summary.push(("ext_open_system", to.to_json()));
-        trace("ext-open-system", &ext_open_system::traces(&lab, seeds[0]));
+        trace("ext-open-system", &|| {
+            ext_open_system::traces(&lab, seeds[0])
+        });
     }
 
     if selected("ext-weak") {
@@ -555,7 +560,7 @@ fn main() {
         println!("{}", fw.to_ascii(72, 18));
         all_ok &= report_shapes("ext-weak", &ext_weak::check_shape(&fw));
         summary.push(("ext_weak", fw.to_json()));
-        trace("ext-weak", &ext_weak::traces(&lab, seeds[0]));
+        trace("ext-weak", &|| ext_weak::traces(&lab, seeds[0]));
     }
 
     if selected("ext-oversub") {
@@ -603,7 +608,7 @@ fn main() {
         println!("{}", tv.to_ascii());
         all_ok &= report_shapes("ext-validation", &validation::check_shape(&vrows));
         summary.push(("validation", tv.to_json()));
-        trace("validation", &validation::traces(&lab, seeds[0]));
+        trace("validation", &|| validation::traces(&lab, seeds[0]));
     }
 
     // The generic campaign runner: every `campaign` block in the script

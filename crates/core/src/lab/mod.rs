@@ -496,6 +496,8 @@ pub struct QueryEngine {
     exec_flights: Mutex<HashMap<ExecKey, Arc<ExecFlight>>>,
     /// Executions served by cloning another execution's result.
     batched: AtomicU64,
+    /// Plans this engine compiled (cache misses and uncacheable queries).
+    compiled: AtomicU64,
 }
 
 impl Default for QueryEngine {
@@ -524,6 +526,7 @@ impl QueryEngine {
             fallback_taper: None,
             exec_flights: Mutex::new(HashMap::new()),
             batched: AtomicU64::new(0),
+            compiled: AtomicU64::new(0),
         }
     }
 
@@ -623,15 +626,24 @@ impl QueryEngine {
         self.resolve(scenario).0
     }
 
+    /// Plans this engine has compiled: every cache miss and every
+    /// uncacheable query, but no hit or in-flight wait. Owned by the
+    /// engine, so concurrent engines never see each other's compiles.
+    pub fn plans_compiled(&self) -> u64 {
+        self.compiled.load(Ordering::Relaxed)
+    }
+
     fn resolve(&self, scenario: &Scenario) -> (Result<Arc<ScenarioPlan>, HarborError>, Resolution) {
+        let compile = || {
+            self.compiled.fetch_add(1, Ordering::Relaxed);
+            scenario.compile_with(self.fallback_taper)
+        };
         match PlanKey::of(scenario, self.fallback_taper) {
-            Some(key) => self
-                .cache
-                .resolve(key, || scenario.compile_with(self.fallback_taper)),
+            Some(key) => self.cache.resolve(key, compile),
             None => {
                 self.cache.uncached.fetch_add(1, Ordering::Relaxed);
                 let t0 = Instant::now();
-                let plan = scenario.compile_with(self.fallback_taper).map(Arc::new);
+                let plan = compile().map(Arc::new);
                 (plan, Resolution::Uncached(t0.elapsed()))
             }
         }
@@ -939,12 +951,11 @@ mod tests {
     #[test]
     fn identical_queries_share_one_plan() {
         let lab = QueryEngine::new();
-        let before = crate::scenario::plans_compiled();
         let queries = (0..8).map(|_| Query::new(scenario(2), &[1, 2])).collect();
         let results = lab.handle(LabRequest::Batch { queries }).into_batch();
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(
-            crate::scenario::plans_compiled() - before,
+            lab.plans_compiled(),
             1,
             "8 identical queries must share one compile"
         );
@@ -1015,11 +1026,10 @@ mod tests {
                 .nodes(1)
                 .ranks_per_node(4)
         };
-        let before = crate::scenario::plans_compiled();
         lab.handle(LabRequest::Batch {
             queries: vec![Query::new(mk(), &[1]), Query::new(mk(), &[1])],
         });
-        assert_eq!(crate::scenario::plans_compiled() - before, 2);
+        assert_eq!(lab.plans_compiled(), 2);
         let stats = lab.stats();
         assert_eq!(stats.uncached, 2);
         assert_eq!(stats.entries, 0);

@@ -1,4 +1,5 @@
-//! The per-shard event core: slab + keyed 4-ary heap + clock.
+//! The per-shard event core: slab, keyed 4-ary heap, same-instant lane
+//! and clock.
 //!
 //! [`EventCore`] is the piece of the monolithic [`Engine`](crate::Engine)
 //! that a parallel discrete-event simulation needs *per shard*: an event
@@ -15,20 +16,40 @@
 //! global pop order of the union of all shards' cores is identical for
 //! every shard count — the property the serial-vs-sharded differential
 //! test pins.
+//!
+//! Beside the heap sits a *same-instant lane*: a FIFO of events scheduled
+//! for the current instant whose keys arrive in increasing order — the
+//! zero-delay resource grants and releases that make up about a third of
+//! the message-level DES's events. Such an event skips the heap and the
+//! arena entirely (push is an append, pop a front removal). Every pop takes
+//! the smaller of the lane's front key and the heap's root key, and the
+//! lane is sorted, so the popped sequence is exactly the heap-only one.
 
 use crate::arena::EventArena;
 use crate::heap::EventHeap;
 use crate::time::SimTime;
+use std::collections::VecDeque;
+
+#[inline]
+fn pack(at: SimTime, tie: u64) -> u128 {
+    ((at.0 as u128) << 64) | tie as u128
+}
 
 /// One shard's pending-event set and clock.
 ///
-/// Events are plain values (`E`); scheduling stores them in a slab and
-/// orders bare slot indices, so the hot loop never moves payloads.
+/// Events are plain values (`E`); a heap-bound event is stored in a slab
+/// and ordered by bare slot index, while a same-instant event waits in the
+/// lane by value.
 #[derive(Debug)]
 pub struct EventCore<E> {
     now: SimTime,
     heap: EventHeap,
     arena: EventArena<E>,
+    /// Events at `now`, ties strictly increasing front to back. It is
+    /// only appended to while its back is smaller than the new key, and
+    /// the clock cannot pass `now` while it holds an event (its keys are
+    /// the smallest at any later time), so every entry is at `now`.
+    lane: VecDeque<(u64, E)>,
 }
 
 impl<E> Default for EventCore<E> {
@@ -44,6 +65,7 @@ impl<E> EventCore<E> {
             now: SimTime::ZERO,
             heap: EventHeap::new(),
             arena: EventArena::new(),
+            lane: VecDeque::new(),
         }
     }
 
@@ -56,30 +78,50 @@ impl<E> EventCore<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.len() == 0
+        self.len() == 0
     }
 
     /// Schedule `ev` at absolute time `at`, tie-broken by `tie` (smaller
     /// fires first among equal times). Coexisting `(at, tie)` pairs must
     /// be distinct; the sharded engine guarantees this by packing
     /// `(domain, per-domain sequence)` into the tie.
+    ///
+    /// An event for the current instant whose tie exceeds the lane's back
+    /// joins the lane; any other goes to the heap.
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, tie: u64, ev: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
-        let (slot, _gen) = self.arena.insert(ev);
-        let key = ((at.0 as u128) << 64) | tie as u128;
-        self.heap.push_keyed(key, slot);
+        if at == self.now && self.lane.back().is_none_or(|&(back, _)| tie > back) {
+            self.lane.push_back((tie, ev));
+        } else {
+            let (slot, _gen) = self.arena.insert(ev);
+            self.heap.push_keyed(pack(at, tie), slot);
+        }
+    }
+
+    /// True when the lane's front precedes the heap's root (and exists).
+    #[inline]
+    fn lane_first(&self) -> bool {
+        match (self.lane.front(), self.heap.peek_key()) {
+            (Some(&(tie, _)), Some(root)) => pack(self.now, tie) < root,
+            (front, _) => front.is_some(),
+        }
     }
 
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn min_time(&self) -> Option<SimTime> {
-        self.heap.peek_time()
+        if self.lane.is_empty() {
+            self.heap.peek_time()
+        } else {
+            // lane events are at `now`, and nothing pending is earlier
+            Some(self.now)
+        }
     }
 
     /// Pop the earliest event if it fires at or before `horizon`,
@@ -88,6 +130,12 @@ impl<E> EventCore<E> {
     /// before it may process further.
     #[inline]
     pub fn pop_within(&mut self, horizon: SimTime) -> Option<E> {
+        if self.lane_first() {
+            if self.now > horizon {
+                return None;
+            }
+            return self.lane.pop_front().map(|(_, ev)| ev);
+        }
         let (at, slot) = self.heap.pop_within(horizon)?;
         let ev = self.arena.take(slot).expect("keyed event slot is live");
         self.now = at;
@@ -100,6 +148,7 @@ impl<E> EventCore<E> {
         self.now = SimTime::ZERO;
         self.heap.clear();
         self.arena.clear();
+        self.lane.clear();
     }
 }
 

@@ -86,6 +86,12 @@ impl EventHeap {
         self.keys.first().map(|&k| unpack_time(k))
     }
 
+    /// Packed key of the earliest entry.
+    #[inline]
+    pub(crate) fn peek_key(&self) -> Option<u128> {
+        self.keys.first().copied()
+    }
+
     /// Remove and return the earliest entry's `(time, slot)`.
     /// The engine itself always pops through [`EventHeap::pop_within`].
     #[cfg(test)]

@@ -1,31 +1,43 @@
 //! The typed event loop is allocation-free at steady state.
 //!
-//! A counting global allocator wraps `System`; after one warm-up round has
-//! grown the engine's heap and arena to the workload's high-water mark,
-//! sustained schedule/cancel/pop churn must perform **exactly zero** heap
-//! allocations — the free-list slab and the flat 4-ary heap reuse their
-//! storage, and cancellation is a generation bump, not a hash insert.
+//! A per-thread counting global allocator wraps `System`; after one
+//! warm-up round has grown the engine's heap and arena to the workload's
+//! high-water mark, sustained schedule/cancel/pop churn must perform
+//! **exactly zero** heap allocations — the free-list slab and the flat
+//! 4-ary heap reuse their storage, and cancellation is a generation bump,
+//! not a hash insert.
 
 use harborsim_des::{Engine, Event, SimDuration};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Each test runs on its own thread
+    /// and the code under test runs on the caller's, so a test's deltas
+    /// never see allocations made by sibling tests running in parallel.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down has no counter left to bump
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic.
+// SAFETY: delegates directly to `System`; the counter is a const-initialized
+// thread-local `Cell`, which neither allocates nor registers a destructor.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -36,8 +48,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[derive(Clone, Copy)]

@@ -227,6 +227,74 @@ fn arena_engine_matches_reference_queue() {
     }
 }
 
+/// The keyed [`EventCore`](harborsim_des::EventCore) against a `BTreeMap`
+/// reference: random `schedule_keyed` calls — at the current instant with
+/// rising and falling ties (lane hits and misses), and in the future —
+/// interleaved with `pop_within` under random horizons (some below the
+/// next event) must pop the same event at the same clock, with the same
+/// pending count and minimum time, step for step.
+#[test]
+fn event_core_matches_btreemap_reference() {
+    use harborsim_des::{EventCore, SimTime};
+    use std::collections::btree_map::{BTreeMap, Entry};
+
+    for mut rng in cases("event-core", 128) {
+        let mut core: EventCore<u64> = EventCore::new();
+        let mut reference: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        let mut now = 0u64;
+        let steps = 100 + rng.below(400);
+        for label in 0..steps {
+            match rng.below(8) {
+                0..=4 => {
+                    let at = match rng.below(3) {
+                        0 => now,
+                        1 => now + rng.below(4),
+                        _ => now + rng.below(1_000),
+                    };
+                    // a small tie range forces out-of-order ties at one
+                    // instant and key collisions, which are skipped (the
+                    // core's contract: coexisting keys are distinct)
+                    let tie = rng.below(64);
+                    if let Entry::Vacant(slot) = reference.entry((at, tie)) {
+                        slot.insert(label);
+                        core.schedule_keyed(SimTime(at), tie, label);
+                    }
+                }
+                5 => {
+                    if rng.below(32) == 0 {
+                        core.reset();
+                        reference.clear();
+                        now = 0;
+                    }
+                }
+                _ => {
+                    let horizon = now + rng.below(200);
+                    let expect = match reference.first_key_value() {
+                        Some((&(at, tie), _)) if at <= horizon => {
+                            now = at;
+                            reference.remove(&(at, tie))
+                        }
+                        _ => None,
+                    };
+                    assert_eq!(core.pop_within(SimTime(horizon)), expect);
+                }
+            }
+            assert_eq!(core.now(), SimTime(now));
+            assert_eq!(core.len(), reference.len());
+            assert_eq!(
+                core.min_time(),
+                reference.keys().next().map(|&(at, _)| SimTime(at))
+            );
+        }
+        while let Some(((at, _), label)) = reference.pop_first() {
+            assert_eq!(core.pop_within(SimTime::MAX), Some(label));
+            assert_eq!(core.now(), SimTime(at));
+        }
+        assert!(core.is_empty());
+        assert_eq!(core.pop_within(SimTime::MAX), None);
+    }
+}
+
 /// Engine determinism: identical schedules produce identical histories.
 #[test]
 fn engine_is_deterministic() {

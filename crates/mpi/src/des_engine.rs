@@ -42,11 +42,14 @@
 //! event is keyed `(time, scheduling domain, per-domain sequence)`, a pure
 //! function of the (deterministic) per-domain schedule order, so the
 //! per-domain pop order — and with it every result and span — is identical
-//! for *any* shard count. `tests/shards_differential.rs` pins serial vs
-//! sharded bit-equality; `shards = 1` (the default) skips threads and
-//! barriers entirely.
+//! for *any* shard count. The `sharded_des_*` tests in
+//! `tests/engines_agree.rs` and this module's unit tests pin serial vs
+//! sharded bit-equality, and `tests/des_golden.rs` pins the bits
+//! themselves; `shards = 1` (the default) skips threads and barriers
+//! entirely.
 //!
-//! Event payloads are `Copy` values in per-shard slab arenas; instruction
+//! Event payloads are `Copy` values in per-shard slab arenas (or, for a
+//! same-instant follow-up, in the core's FIFO lane); instruction
 //! queues, resources, and tallies live in pooled `DesScratch` reused across
 //! runs, so the steady-state event loop of `plan.execute(seed)` performs no
 //! heap allocation.
@@ -64,6 +67,7 @@ use harborsim_des::{CoreResource, EventCore, RngStream, SimDuration, SimTime};
 use harborsim_hw::NodeSpec;
 use harborsim_net::{LinkId, NetworkModel, Route, RouteTable, ScratchPool, TransportParams};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -116,6 +120,35 @@ fn match_id(uid: u64, round: u32, rep: u32, src: u32, dst: u32) -> u64 {
     h
 }
 
+/// Hasher of the message table. Its keys are [`match_id`]s: derived inside
+/// the engine (never taken from outside input) and already mixed by that
+/// derivation, so one odd multiply spreads them over the table's bucket
+/// and control bits; SipHash would cost more than the rest of a lookup.
+#[derive(Default)]
+struct MidHasher(u64);
+
+impl Hasher for MidHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // only `u64` ids reach the table; fold any other input bytewise
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// In-flight message state by `match_id`.
+type MsgTable = HashMap<u64, MsgState, BuildHasherDefault<MidHasher>>;
+
 /// Program-position cursor of one rank.
 #[derive(Debug, Clone, Default)]
 struct Cursor {
@@ -154,6 +187,8 @@ struct JobCtx {
     routes: Arc<RouteTable>,
     /// Per-slot drain rate of each link (bytes/s), dense by link id.
     link_rate: Arc<[f64]>,
+    /// Domain (leaf group) of each rank's node, dense by rank.
+    domain_of_rank: Arc<[u32]>,
     /// Owning shard of each domain (leaf group), dense by leaf id.
     shard_of_domain: Box<[u32]>,
 }
@@ -162,12 +197,7 @@ impl JobCtx {
     /// The domain (leaf group) that owns `rank`'s protocol state.
     #[inline]
     fn domain_of_rank(&self, rank: u32) -> u32 {
-        self.routes.graph().leaf_of(self.map.node_of(rank))
-    }
-
-    #[inline]
-    fn domain_of_node(&self, node: u32) -> u32 {
-        self.routes.graph().leaf_of(node)
+        self.domain_of_rank[rank as usize]
     }
 
     #[inline]
@@ -175,18 +205,31 @@ impl JobCtx {
         self.domain_of_rank(a) == self.domain_of_rank(b)
     }
 
+    /// The node hosting `rank`.
+    #[inline]
+    fn node_of(&self, rank: u32) -> u32 {
+        self.routes.node_of(rank)
+    }
+
+    #[inline]
+    fn same_node(&self, a: u32, b: u32) -> bool {
+        self.node_of(a) == self.node_of(b)
+    }
+
     /// The domain whose shard must process `ev`. Every resource and every
     /// message-table entry is touched by exactly one domain: node links and
     /// pipes by their node's leaf, leaf links by their own leaf, message
-    /// state by the *receiver's* leaf.
+    /// state by the *receiver's* leaf. Bridges and pipes sit on the sender's
+    /// node (for a pipe, also the receiver's), so both resolve through a
+    /// rank.
+    #[inline]
     fn domain_of_ev(&self, ev: &Ev) -> u32 {
         match *ev {
             Ev::Advance { rank } => self.domain_of_rank(rank),
-            Ev::Transfer { src, .. } => self.domain_of_rank(src),
-            Ev::BridgeGranted { node, .. }
-            | Ev::BridgeDone { node, .. }
-            | Ev::PipeGranted { node, .. }
-            | Ev::PipeSerDone { node, .. } => self.domain_of_node(node),
+            Ev::Transfer { src, .. }
+            | Ev::BridgeGranted { src, .. }
+            | Ev::BridgeDone { src, .. } => self.domain_of_rank(src),
+            Ev::PipeGranted { dst, .. } | Ev::PipeSerDone { dst, .. } => self.domain_of_rank(dst),
             Ev::RouteGranted { dst, .. } | Ev::RouteSerDone { dst, .. } => self.domain_of_rank(dst),
             Ev::SegGranted { src, dst, seg, .. } | Ev::SegSerDone { src, dst, seg, .. } => {
                 if seg == 0 {
@@ -331,7 +374,7 @@ struct ShardSim {
     links: Vec<CoreResource<Ev>>,
     pipes: Vec<CoreResource<Ev>>,
     bridges: Vec<CoreResource<Ev>>,
-    msgs: HashMap<u64, MsgState>,
+    msgs: MsgTable,
     /// Per-domain schedule counters — the event key tie-breakers.
     dseq: Vec<u64>,
     /// Domain of the event currently firing; keys every schedule it makes.
@@ -365,6 +408,11 @@ impl ShardSim {
         self.dseq[self.cause as usize] = seq + 1;
         debug_assert!(seq <= SEQ_MASK, "per-domain schedule counter overflow");
         let tie = ((self.cause as u64) << DOMAIN_SHIFT) | (seq & SEQ_MASK);
+        if self.outboxes.len() == 1 {
+            // a lone shard owns every domain
+            self.core.schedule_keyed(at, tie, ev);
+            return;
+        }
         let target = self.ctx.domain_of_ev(&ev);
         let shard = self.ctx.shard_of_domain[target as usize];
         if shard == self.id {
@@ -589,7 +637,7 @@ struct ShardScratch {
     links: Vec<CoreResource<Ev>>,
     pipes: Vec<CoreResource<Ev>>,
     bridges: Vec<CoreResource<Ev>>,
-    msgs: HashMap<u64, MsgState>,
+    msgs: MsgTable,
     link_bytes: Vec<u64>,
     dseq: Vec<u64>,
     outboxes: Vec<Vec<(u128, Ev)>>,
@@ -770,6 +818,8 @@ pub struct DesEngine {
     slots: Arc<[u32]>,
     /// Per-slot drain rate of each link (bytes/s), precomputed once.
     link_rate: Arc<[f64]>,
+    /// Domain (leaf group) of each rank, precomputed once.
+    domain_of_rank: Arc<[u32]>,
     scratch: ScratchPool<DesScratch>,
 }
 
@@ -814,6 +864,9 @@ impl DesEngine {
             slots.push(s);
             link_rate.push(cap / s as f64);
         }
+        let domain_of_rank = (0..routes.ranks())
+            .map(|r| graph.leaf_of(routes.node_of(r)))
+            .collect();
         DesEngine {
             node,
             network,
@@ -823,6 +876,7 @@ impl DesEngine {
             routes,
             slots: slots.into(),
             link_rate: link_rate.into(),
+            domain_of_rank,
             scratch: ScratchPool::new(),
         }
     }
@@ -898,6 +952,7 @@ impl DesEngine {
             config: self.config.clone(),
             routes: self.routes.clone(),
             link_rate: self.link_rate.clone(),
+            domain_of_rank: self.domain_of_rank.clone(),
             shard_of_domain,
         });
 
@@ -1057,7 +1112,7 @@ fn partition_domains(domains: u32, shards: u32) -> Box<[u32]> {
 /// directly into the rank's (pooled) queue. Returns `false` when the
 /// program is exhausted.
 fn refill(sim: &mut ShardSim, rank: u32) -> bool {
-    let ctx = sim.ctx.clone();
+    let ctx = &*sim.ctx;
     let p = ctx.map.ranks();
     loop {
         let cur = sim.ranks[rank as usize].cursor.clone();
@@ -1101,7 +1156,7 @@ fn refill(sim: &mut ShardSim, rank: u32) -> bool {
         let uid = uid | (phase_idx as u64 + 1);
         let queue = &mut sim.ranks[rank as usize].queue;
         let before = queue.len();
-        expand_phase(&ctx, rank, p, &step.comm[phase_idx], uid, queue);
+        expand_phase(ctx, rank, p, &step.comm[phase_idx], uid, queue);
         if queue.len() > before {
             return true;
         }
@@ -1448,7 +1503,7 @@ fn advance(sim: &mut ShardSim, rank: u32) {
 }
 
 fn transport_for(sim: &ShardSim, src: u32, dst: u32) -> &TransportParams {
-    if sim.ctx.map.same_node(src, dst) {
+    if sim.ctx.same_node(src, dst) {
         &sim.ctx.intra
     } else {
         &sim.ctx.inter
@@ -1457,7 +1512,7 @@ fn transport_for(sim: &ShardSim, src: u32, dst: u32) -> &TransportParams {
 
 /// Post a message; returns the sender-side CPU overhead to charge.
 fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f64 {
-    let same = sim.ctx.map.same_node(src, dst);
+    let same = sim.ctx.same_node(src, dst);
     if same {
         sim.intra_msgs += 1;
     } else {
@@ -1519,7 +1574,7 @@ fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f
 fn enqueue_transfer(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) {
     let serial = sim.ctx.bridge_serial_s;
     if serial > 0.0 {
-        let node = sim.ctx.map.node_of(src);
+        let node = sim.ctx.node_of(src);
         if let Some(ev) = sim.bridges[node as usize].acquire(Ev::BridgeGranted {
             node,
             src,
@@ -1538,8 +1593,8 @@ fn enqueue_transfer(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64
 /// same-leaf route, or the source segment of a cross-leaf route.
 fn enqueue_transfer_wire(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) {
     let t = *transport_for(sim, src, dst);
-    if sim.ctx.map.same_node(src, dst) {
-        let node = sim.ctx.map.node_of(src);
+    if sim.ctx.same_node(src, dst) {
+        let node = sim.ctx.node_of(src);
         let ser = SimDuration::from_secs_f64(t.serialization_seconds(bytes));
         let lat = SimDuration::from_secs_f64(t.latency_s);
         if let Some(ev) = sim.pipes[node as usize].acquire(Ev::PipeGranted {

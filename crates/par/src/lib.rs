@@ -48,8 +48,21 @@ where
     U: Send,
     F: Fn(I) -> U + Sync,
 {
+    let workers = worker_count(items.len());
+    run_on(items, f, workers)
+}
+
+/// [`run`] on exactly `workers` threads (at most one per item), whatever
+/// the host's parallelism — so tests exercise the stealing path even on a
+/// single-core machine.
+fn run_on<I, U, F>(items: Vec<I>, f: F, workers: usize) -> Vec<U>
+where
+    I: Send,
+    U: Send,
+    F: Fn(I) -> U + Sync,
+{
     let n = items.len();
-    let workers = worker_count(n);
+    let workers = workers.min(n);
     if workers <= 1 {
         return items.into_iter().map(f).collect();
     }
@@ -76,8 +89,12 @@ where
                     loop {
                         // Own deque first (pop back: LIFO keeps the block
                         // warm), then steal from the front of the others
-                        // (FIFO: take the victim's coldest work).
-                        let idx = deques[w].lock().unwrap().pop_back().or_else(|| {
+                        // (FIFO: take the victim's coldest work). The own
+                        // pop is its own statement so its guard drops
+                        // before any victim is locked: holding one deque
+                        // while locking another deadlocks two stealers.
+                        let own = deques[w].lock().unwrap().pop_back();
+                        let idx = own.or_else(|| {
                             (1..workers)
                                 .find_map(|d| deques[(w + d) % workers].lock().unwrap().pop_front())
                         });
@@ -426,6 +443,29 @@ mod tests {
             x * 3
         });
         assert_eq!(ys, (0..257).map(|x| x * 3).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn stealing_never_deadlocks_on_several_workers() {
+        // Two workers that run dry at once each steal from the other; if a
+        // worker held its own deque's lock while locking its victim's, the
+        // pair would deadlock. Many short runs make that interleaving
+        // near-certain, and forcing the worker count makes it reachable
+        // on any host. A hang fails the test instead of wedging the suite.
+        let (done, finished) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            for round in 0..20_000u64 {
+                for workers in [2, 3] {
+                    let xs: Vec<u64> = (0..64).collect();
+                    let ys = run_on(xs, |x| x ^ round, workers);
+                    assert!(ys.iter().enumerate().all(|(i, &y)| y == i as u64 ^ round));
+                }
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("work-stealing run() deadlocked or panicked");
     }
 
     #[test]

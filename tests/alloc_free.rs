@@ -1,6 +1,6 @@
 //! The cached-plan hot path performs no per-step heap allocations.
 //!
-//! Two guarantees, asserted with a counting global allocator:
+//! Two guarantees, asserted with a per-thread counting global allocator:
 //!
 //! 1. `LinkSchedule` round costing reuses its buffers — a reset + deposit
 //!    cycle on a warmed schedule allocates **exactly zero**.
@@ -18,24 +18,35 @@ use harborsim_mpi::{AnalyticEngine, DesEngine, RankMap};
 use harborsim_net::{DataPath, LinkGraph, LinkSchedule, NetworkModel, RouteTable};
 use harborsim_net::{Topology, TransportSelection};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. Each test runs on its own thread
+    /// and the code under test runs on the caller's, so a test's deltas
+    /// never see allocations made by sibling tests running in parallel.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down has no counter left to bump
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 struct CountingAlloc;
 
-// SAFETY: delegates directly to `System`; the counter is a relaxed atomic.
+// SAFETY: delegates directly to `System`; the counter is a const-initialized
+// thread-local `Cell`, which neither allocates nor registers a destructor.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -46,8 +57,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 #[test]
