@@ -300,6 +300,14 @@ fn get_u64(json: &Json, key: &str) -> Result<u64, WireError> {
     })
 }
 
+/// A count that must fit the `u32` it decodes into: a wider value is an
+/// error, not silently truncated.
+fn get_u32(json: &Json, key: &str) -> Result<u32, WireError> {
+    u32::try_from(get_u64(json, key)?).map_err(|_| WireError {
+        msg: format!("field `{key}` must fit in 32 bits"),
+    })
+}
+
 fn get_f64(json: &Json, key: &str) -> Result<f64, WireError> {
     get(json, key)?.as_f64().ok_or_else(|| WireError {
         msg: format!("field `{key}` must be a number"),
@@ -474,15 +482,15 @@ fn decode_scenario(json: &Json) -> Result<Scenario, WireError> {
         cluster,
         case,
         env: env_by_name(get_str(json, "env")?)?,
-        nodes: get_u64(json, "nodes")? as u32,
-        ranks_per_node: get_u64(json, "rpn")? as u32,
-        threads_per_rank: get_u64(json, "tpr")? as u32,
+        nodes: get_u32(json, "nodes")?,
+        ranks_per_node: get_u32(json, "rpn")?,
+        threads_per_rank: get_u32(json, "tpr")?,
         engine: {
             let e = get(json, "engine")?;
             match get_str(e, "kind")? {
                 "analytic" => EngineKind::Analytic,
                 "des" => EngineKind::Des {
-                    max_steps_per_kind: get_u64(e, "max_steps_per_kind")? as u32,
+                    max_steps_per_kind: get_u32(e, "max_steps_per_kind")?,
                 },
                 other => return err(format!("unknown engine kind `{other}`")),
             }
@@ -495,12 +503,18 @@ fn decode_scenario(json: &Json) -> Result<Scenario, WireError> {
         },
         spine_taper: match get(json, "taper")? {
             Json::Null => None,
-            t => Some(t.as_f64().ok_or_else(|| WireError {
-                msg: "`taper` must be a number".into(),
-            })?),
+            t => Some(fraction(
+                t.as_f64().ok_or_else(|| WireError {
+                    msg: "`taper` must be a number".into(),
+                })?,
+                "`taper`",
+            )?),
         },
         degraded_uplinks: Vec::new(),
-        shards: get_u64(json, "shards")? as u32,
+        shards: match get_u32(json, "shards")? {
+            0 => return err("`shards` must be at least 1"),
+            n => n,
+        },
         open: match get(json, "open")? {
             Json::Null => None,
             spec => Some(decode_open(spec)?),
@@ -516,12 +530,31 @@ fn decode_scenario(json: &Json) -> Result<Scenario, WireError> {
         let node = pair[0].as_u64().ok_or_else(|| WireError {
             msg: "degraded node must be an unsigned integer".into(),
         })?;
+        if node >= u64::from(scenario.nodes) {
+            return err(format!(
+                "degraded node {node} is outside the scenario's {} nodes",
+                scenario.nodes
+            ));
+        }
         let factor = pair[1].as_f64().ok_or_else(|| WireError {
             msg: "degraded factor must be a number".into(),
         })?;
-        scenario.degraded_uplinks.push((node as u32, factor));
+        scenario
+            .degraded_uplinks
+            .push((node as u32, fraction(factor, "degraded factor")?));
     }
     Ok(scenario)
+}
+
+/// `v` if it lies in (0, 1] — a taper or a de-rating factor — else an
+/// error naming `what`. Checked here so the builder's asserts are never
+/// reached from the wire.
+fn fraction(v: f64, what: &str) -> Result<f64, WireError> {
+    if v > 0.0 && v <= 1.0 {
+        Ok(v)
+    } else {
+        err(format!("{what} must lie in (0, 1], got {v}"))
+    }
 }
 
 fn encode_open(spec: &OpenSpec) -> Result<Json, WireError> {
@@ -567,9 +600,13 @@ fn decode_open(json: &Json) -> Result<OpenSpec, WireError> {
     let env_mix = get(json, "env_mix")?;
     let mut nodes = Vec::new();
     for v in get_arr(node_mix, "values")? {
-        nodes.push(v.as_u64().ok_or_else(|| WireError {
-            msg: "node mix values must be unsigned integers".into(),
-        })? as u32);
+        nodes.push(
+            v.as_u64()
+                .and_then(|n| u32::try_from(n).ok())
+                .ok_or_else(|| WireError {
+                    msg: "node mix values must be 32-bit unsigned integers".into(),
+                })?,
+        );
     }
     let mut workloads = Vec::new();
     for v in get_arr(workload_mix, "values")? {
@@ -590,7 +627,7 @@ fn decode_open(json: &Json) -> Result<OpenSpec, WireError> {
     Ok(OpenSpec {
         rate_per_s: get_f64(json, "rate_per_s")?,
         horizon_s: get_f64(json, "horizon_s")?,
-        tenants: get_u64(json, "tenants")? as u32,
+        tenants: get_u32(json, "tenants")?,
         node_mix: MixSpec {
             s: get_f64(node_mix, "s")?,
             values: nodes,

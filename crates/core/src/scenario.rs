@@ -7,6 +7,9 @@
 //! model, all resolved up front. [`ScenarioPlan::execute`] then costs one
 //! seed with no validation, no profile rebuild and no image rebuild, which
 //! is what the repetition-and-sweep layer in [`crate::runner`] leans on.
+//! An analytic plan goes one step further: its first execute costs the
+//! job once ([`AnalyticEngine::cost`]) and every execute replays that
+//! costing under its seed's jitter factor, bit-identical to a full run.
 
 use crate::error::HarborError;
 use crate::open::OpenSpec;
@@ -21,7 +24,7 @@ use harborsim_hw::{ClusterSpec, CpuModel, FabricLayout};
 use harborsim_mpi::analytic::EngineConfig;
 use harborsim_mpi::workload::JobProfile;
 use harborsim_mpi::{
-    route_table, AnalyticEngine, DesEngine, PerfEngine, Placement, RankMap, SimResult,
+    route_table, AnalyticEngine, DesEngine, JobCosting, Placement, RankMap, SimResult,
     TruncatingDes,
 };
 use harborsim_net::{NetworkModel, Topology};
@@ -295,15 +298,18 @@ impl Scenario {
             table.graph_mut().degrade(id, factor);
         }
         let routes = Arc::new(table);
-        let engine: Box<dyn PerfEngine + Send + Sync> = match self.engine {
-            EngineKind::Analytic => Box::new(AnalyticEngine::with_routes(
-                self.cluster.node.clone(),
-                network,
-                map,
-                config,
-                routes,
-            )),
-            EngineKind::Des { max_steps_per_kind } => Box::new(TruncatingDes {
+        let engine = match self.engine {
+            EngineKind::Analytic => PlanEngine::Analytic(
+                AnalyticEngine::with_routes(
+                    self.cluster.node.clone(),
+                    network,
+                    map,
+                    config,
+                    routes,
+                ),
+                OnceLock::new(),
+            ),
+            EngineKind::Des { max_steps_per_kind } => PlanEngine::Des(TruncatingDes {
                 inner: DesEngine::with_routes(
                     self.cluster.node.clone(),
                     network,
@@ -388,12 +394,21 @@ impl Scenario {
     }
 }
 
+/// The engine a plan executes on.
+enum PlanEngine {
+    /// The analytic engine and its costing of the plan's job, filled by
+    /// the first execute and replayed for every seed.
+    Analytic(AnalyticEngine, OnceLock<JobCosting>),
+    /// The message-level engine, run in full for every seed.
+    Des(TruncatingDes),
+}
+
 /// A compiled scenario: everything seed-independent resolved, ready to
 /// execute any number of seeds.
 pub struct ScenarioPlan {
     map: RankMap,
     job: JobProfile,
-    engine: Box<dyn PerfEngine + Send + Sync>,
+    engine: PlanEngine,
     deployment: Option<DeploymentReport>,
     /// Deployment spans captured at compile time, replayed per execute.
     deployment_trace: Option<TraceBuffer>,
@@ -418,7 +433,13 @@ impl ScenarioPlan {
                 rec.absorb(buf);
             }
         }
-        let result = self.engine.run_traced(&self.job, seed, rec);
+        let result = match &self.engine {
+            PlanEngine::Analytic(engine, costing) => {
+                let costing = costing.get_or_init(|| engine.cost(&self.job));
+                engine.replay(costing, seed, rec)
+            }
+            PlanEngine::Des(engine) => engine.run_traced(&self.job, seed, rec),
+        };
         let mut attrs = self.attrs.clone();
         attrs.push(("engine", AttrValue::Text(result.engine.to_string())));
         attrs.push(("seed", AttrValue::Int(seed)));
@@ -457,7 +478,10 @@ impl ScenarioPlan {
 
     /// Short name of the selected engine ("analytic", "des").
     pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
+        match &self.engine {
+            PlanEngine::Analytic(..) => "analytic",
+            PlanEngine::Des(_) => "des",
+        }
     }
 
     /// The deployment model, if the scenario requested one.

@@ -1,4 +1,4 @@
-//! The per-shard event core: slab, keyed 4-ary heap, same-instant lane
+//! The per-shard event core: slab, keyed 4-ary heap, delay-class lanes
 //! and clock.
 //!
 //! [`EventCore`] is the piece of the monolithic [`Engine`](crate::Engine)
@@ -17,39 +17,58 @@
 //! every shard count — the property the serial-vs-sharded differential
 //! test pins.
 //!
-//! Beside the heap sits a *same-instant lane*: a FIFO of events scheduled
-//! for the current instant whose keys arrive in increasing order — the
-//! zero-delay resource grants and releases that make up about a third of
-//! the message-level DES's events. Such an event skips the heap and the
-//! arena entirely (push is an append, pop a front removal). Every pop takes
-//! the smaller of the lane's front key and the heap's root key, and the
-//! lane is sorted, so the popped sequence is exactly the heap-only one.
+//! Beside the heap sit a few *delay-class lanes*: FIFOs, each tagged with
+//! one delay `at − now`, whose keys arrive in increasing order. The
+//! message-level DES schedules most events at a handful of delays — zero
+//! for resource grants and releases, then the fabric's per-hop latencies
+//! and the protocol overheads — so an event scheduled at its lane's delay
+//! almost always lands behind everything already queued there. Such an
+//! event skips the heap and the arena (push is an append, pop a front
+//! removal). An event joins its delay's lane when its key exceeds the
+//! lane's back; a lane is retagged to a new delay only while it is empty;
+//! every other event goes to the heap. Each lane is sorted, and every pop
+//! takes the smallest of the lane fronts and the heap root, so the popped
+//! sequence is exactly the heap-only one.
 
 use crate::arena::EventArena;
 use crate::heap::EventHeap;
 use crate::time::SimTime;
 use std::collections::VecDeque;
 
+/// Number of delay-class lanes.
+const LANES: usize = 8;
+
+/// Front key of an empty lane. No lane holds this key (an event keyed
+/// `u128::MAX` goes to the heap), so it never wins a comparison it should
+/// lose.
+const EMPTY: u128 = u128::MAX;
+
 #[inline]
 fn pack(at: SimTime, tie: u64) -> u128 {
     ((at.0 as u128) << 64) | tie as u128
 }
 
+#[inline]
+fn unpack_time(key: u128) -> SimTime {
+    SimTime((key >> 64) as u64)
+}
+
 /// One shard's pending-event set and clock.
 ///
 /// Events are plain values (`E`); a heap-bound event is stored in a slab
-/// and ordered by bare slot index, while a same-instant event waits in the
-/// lane by value.
+/// and ordered by bare slot index, while a lane event waits in its lane by
+/// value.
 #[derive(Debug)]
 pub struct EventCore<E> {
     now: SimTime,
     heap: EventHeap,
     arena: EventArena<E>,
-    /// Events at `now`, ties strictly increasing front to back. It is
-    /// only appended to while its back is smaller than the new key, and
-    /// the clock cannot pass `now` while it holds an event (its keys are
-    /// the smallest at any later time), so every entry is at `now`.
-    lane: VecDeque<(u64, E)>,
+    /// The delay each lane holds; changed only while the lane is empty.
+    delays: [u64; LANES],
+    /// Key of each lane's front event, [`EMPTY`] for an empty lane.
+    fronts: [u128; LANES],
+    /// Keyed events, strictly increasing front to back.
+    lanes: [VecDeque<(u128, E)>; LANES],
 }
 
 impl<E> Default for EventCore<E> {
@@ -65,7 +84,9 @@ impl<E> EventCore<E> {
             now: SimTime::ZERO,
             heap: EventHeap::new(),
             arena: EventArena::new(),
-            lane: VecDeque::new(),
+            delays: [0; LANES],
+            fronts: [EMPTY; LANES],
+            lanes: std::array::from_fn(|_| VecDeque::new()),
         }
     }
 
@@ -78,7 +99,7 @@ impl<E> EventCore<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len() + self.lane.len()
+        self.heap.len() + self.lanes.iter().map(VecDeque::len).sum::<usize>()
     }
 
     /// True when no events are pending.
@@ -91,36 +112,66 @@ impl<E> EventCore<E> {
     /// be distinct; the sharded engine guarantees this by packing
     /// `(domain, per-domain sequence)` into the tie.
     ///
-    /// An event for the current instant whose tie exceeds the lane's back
-    /// joins the lane; any other goes to the heap.
+    /// The event joins the lane of its delay `at − now` if its key
+    /// exceeds that lane's back (an empty lane may be retagged to take
+    /// it); otherwise it goes to the heap.
     #[inline]
     pub fn schedule_keyed(&mut self, at: SimTime, tie: u64, ev: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
-        if at == self.now && self.lane.back().is_none_or(|&(back, _)| tie > back) {
-            self.lane.push_back((tie, ev));
-        } else {
-            let (slot, _gen) = self.arena.insert(ev);
-            self.heap.push_keyed(pack(at, tie), slot);
+        let key = pack(at, tie);
+        match self.lane_for(at.0 - self.now.0, key) {
+            Some(i) => {
+                let lane = &mut self.lanes[i];
+                if lane.is_empty() {
+                    self.fronts[i] = key;
+                }
+                lane.push_back((key, ev));
+            }
+            None => {
+                let (slot, _gen) = self.arena.insert(ev);
+                self.heap.push_keyed(key, slot);
+            }
         }
     }
 
-    /// True when the lane's front precedes the heap's root (and exists).
+    /// The lane a `key` scheduled `delay` ahead may join, if any: the
+    /// lane tagged with `delay` when `key` exceeds its back, else (no lane
+    /// holds that delay) an empty lane, retagged.
     #[inline]
-    fn lane_first(&self) -> bool {
-        match (self.lane.front(), self.heap.peek_key()) {
-            (Some(&(tie, _)), Some(root)) => pack(self.now, tie) < root,
-            (front, _) => front.is_some(),
+    fn lane_for(&mut self, delay: u64, key: u128) -> Option<usize> {
+        if key == EMPTY {
+            return None;
         }
+        if let Some(i) = self.delays.iter().position(|&d| d == delay) {
+            let fits = self.lanes[i].back().is_none_or(|&(back, _)| key > back);
+            return fits.then_some(i);
+        }
+        let i = self.fronts.iter().position(|&f| f == EMPTY)?;
+        self.delays[i] = delay;
+        Some(i)
+    }
+
+    /// The lane with the smallest front key, and that key ([`EMPTY`] when
+    /// every lane is empty).
+    #[inline]
+    fn first_lane(&self) -> (usize, u128) {
+        let mut best = (0, self.fronts[0]);
+        for (i, &f) in self.fronts.iter().enumerate().skip(1) {
+            if f < best.1 {
+                best = (i, f);
+            }
+        }
+        best
     }
 
     /// Timestamp of the earliest pending event, if any.
     #[inline]
     pub fn min_time(&self) -> Option<SimTime> {
-        if self.lane.is_empty() {
-            self.heap.peek_time()
-        } else {
-            // lane events are at `now`, and nothing pending is earlier
-            Some(self.now)
+        let lane = self.first_lane().1;
+        match self.heap.peek_key() {
+            Some(root) if root < lane => Some(unpack_time(root)),
+            _ if lane != EMPTY => Some(unpack_time(lane)),
+            _ => None,
         }
     }
 
@@ -130,11 +181,17 @@ impl<E> EventCore<E> {
     /// before it may process further.
     #[inline]
     pub fn pop_within(&mut self, horizon: SimTime) -> Option<E> {
-        if self.lane_first() {
-            if self.now > horizon {
+        let (i, lane_key) = self.first_lane();
+        if lane_key < self.heap.peek_key().unwrap_or(EMPTY) {
+            let at = unpack_time(lane_key);
+            if at > horizon {
                 return None;
             }
-            return self.lane.pop_front().map(|(_, ev)| ev);
+            let lane = &mut self.lanes[i];
+            let (_, ev) = lane.pop_front().expect("a lane with a front key");
+            self.fronts[i] = lane.front().map_or(EMPTY, |&(k, _)| k);
+            self.now = at;
+            return Some(ev);
         }
         let (at, slot) = self.heap.pop_within(horizon)?;
         let ev = self.arena.take(slot).expect("keyed event slot is live");
@@ -148,7 +205,10 @@ impl<E> EventCore<E> {
         self.now = SimTime::ZERO;
         self.heap.clear();
         self.arena.clear();
-        self.lane.clear();
+        self.fronts = [EMPTY; LANES];
+        for lane in &mut self.lanes {
+            lane.clear();
+        }
     }
 }
 

@@ -228,33 +228,45 @@ fn arena_engine_matches_reference_queue() {
 }
 
 /// The keyed [`EventCore`](harborsim_des::EventCore) against a `BTreeMap`
-/// reference: random `schedule_keyed` calls — at the current instant with
-/// rising and falling ties (lane hits and misses), and in the future —
-/// interleaved with `pop_within` under random horizons (some below the
-/// next event) must pop the same event at the same clock, with the same
-/// pending count and minimum time, step for step.
+/// reference. Random `schedule_keyed` calls draw most delays from a small
+/// repeated menu (more distinct delays than the core has lanes, so lanes
+/// fill, retag and overflow to the heap), the rest at random; ties come
+/// either packed `(domain, per-domain sequence)` from several domains, so
+/// equal-time keys arrive out of order, or from a small range that forces
+/// out-of-order ties and key collisions (skipped: the core's contract is
+/// that coexisting keys are distinct). They interleave with `pop_within`
+/// under horizons near, far, and just below the next event. Both must pop
+/// the same event at the same clock, with the same pending count and
+/// minimum time, step for step.
 #[test]
 fn event_core_matches_btreemap_reference() {
     use harborsim_des::{EventCore, SimTime};
     use std::collections::btree_map::{BTreeMap, Entry};
 
+    const DELAYS: [u64; 12] = [
+        0, 0, 0, 1, 150, 300, 300, 6_000, 8_000, 10_000, 10_000, 55_000,
+    ];
     for mut rng in cases("event-core", 128) {
         let mut core: EventCore<u64> = EventCore::new();
         let mut reference: BTreeMap<(u64, u64), u64> = BTreeMap::new();
         let mut now = 0u64;
-        let steps = 100 + rng.below(400);
+        let mut seq = [0u64; 4];
+        let steps = 100 + rng.below(600);
         for label in 0..steps {
             match rng.below(8) {
                 0..=4 => {
-                    let at = match rng.below(3) {
-                        0 => now,
-                        1 => now + rng.below(4),
-                        _ => now + rng.below(1_000),
+                    let at = now
+                        + match rng.below(4) {
+                            0 => rng.below(1_000),
+                            _ => DELAYS[rng.below(DELAYS.len() as u64) as usize],
+                        };
+                    let tie = if rng.below(2) == 0 {
+                        let d = rng.below(4) as usize;
+                        seq[d] += 1;
+                        ((d as u64 + 1) << 32) | seq[d]
+                    } else {
+                        rng.below(64)
                     };
-                    // a small tie range forces out-of-order ties at one
-                    // instant and key collisions, which are skipped (the
-                    // core's contract: coexisting keys are distinct)
-                    let tie = rng.below(64);
                     if let Entry::Vacant(slot) = reference.entry((at, tie)) {
                         slot.insert(label);
                         core.schedule_keyed(SimTime(at), tie, label);
@@ -268,7 +280,13 @@ fn event_core_matches_btreemap_reference() {
                     }
                 }
                 _ => {
-                    let horizon = now + rng.below(200);
+                    let next = reference.keys().next().map_or(now, |&(at, _)| at);
+                    let horizon = match rng.below(4) {
+                        0 => now + rng.below(200),
+                        1 => now + rng.below(20_000),
+                        2 => next.saturating_sub(1).max(now),
+                        _ => now + 100_000,
+                    };
                     let expect = match reference.first_key_value() {
                         Some((&(at, tie), _)) if at <= horizon => {
                             now = at;

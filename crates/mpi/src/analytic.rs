@@ -9,13 +9,22 @@
 //! has (steps are run-length encoded), which is what lets HarborSim sweep
 //! the MareNostrum4 FSI case to 12,288 ranks in microseconds.
 //!
-//! All per-run working state — the link schedule, per-node round tallies,
-//! per-phase and per-run link accumulators — lives in a pooled `Scratch`
-//! reused across runs, so repeated `execute(seed)` on a cached plan
-//! allocates nothing here. Phase costs proper are plain scalars
-//! (`PhaseCost` is `Copy`); the per-link vectors that used to ride along
-//! in it accumulate in place in the scratch instead, with the identical
-//! floating-point operation order, so results are bit-for-bit unchanged.
+//! A run splits in two. The *costing* ([`AnalyticEngine::cost`]) does all
+//! of the above and depends only on the job and the engine: each step
+//! kind's compute and phase seconds times its repeat count, the message
+//! and byte totals, and the per-link tallies. The *replay*
+//! ([`AnalyticEngine::replay`]) draws the seed's one log-normal run factor
+//! and turns the costing into spans and a [`SimResult`], with the same
+//! floating-point operations in the same order as a single pass would use.
+//! A compiled scenario plan costs its job on its first execute and replays
+//! that costing for every seed after it; [`AnalyticEngine::run_traced`]
+//! costs into pooled scratch and replays through the same code.
+//!
+//! The costing's working state — the link schedule, per-node round
+//! tallies, per-phase accumulators — lives in a pooled `Scratch` reused
+//! across runs, so repeated `run_traced` calls allocate nothing here beyond
+//! the result. Phase costs proper are plain scalars (`PhaseCost` is
+//! `Copy`); the per-link vectors accumulate in place in the scratch.
 //!
 //! Modelling decisions (shared with the DES engine where applicable):
 //!
@@ -93,9 +102,51 @@ impl PhaseCost {
     }
 }
 
-/// Pooled per-run working state: the round being counted (per-node message
-/// tallies + the fluid link schedule), the current phase's per-link
-/// accumulators, and the whole run's per-link accumulators.
+/// One span of the closed-form timeline before the run's jitter: a step
+/// kind's compute, or one of its communication phases, each already
+/// multiplied by the step's repeat count.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    cat: SpanCategory,
+    name: &'static str,
+    seconds: f64,
+    /// Serialized bridge share of `seconds`, emitted as a nested span.
+    bridge_s: f64,
+}
+
+/// The seed-independent part of an analytic run: the timeline's segments
+/// before jitter, the traffic totals and the per-link tallies. Computed by
+/// [`AnalyticEngine::cost`] and turned into a [`SimResult`] for any seed by
+/// [`AnalyticEngine::replay`] on the same engine.
+#[derive(Debug, Default)]
+pub struct JobCosting {
+    segments: Vec<Segment>,
+    inter_msgs: u64,
+    intra_msgs: u64,
+    inter_bytes: u64,
+    /// Per-link busy seconds over the whole run.
+    link_busy: Vec<f64>,
+    /// Per-link payload bytes over the whole run.
+    link_bytes: Vec<u64>,
+}
+
+impl JobCosting {
+    /// Empty everything for a job on `links` links, keeping allocations.
+    fn reset(&mut self, links: usize) {
+        self.segments.clear();
+        self.inter_msgs = 0;
+        self.intra_msgs = 0;
+        self.inter_bytes = 0;
+        self.link_busy.clear();
+        self.link_busy.resize(links, 0.0);
+        self.link_bytes.clear();
+        self.link_bytes.resize(links, 0);
+    }
+}
+
+/// Pooled working state of one costing: the round being counted
+/// (per-node message tallies + the fluid link schedule), the current
+/// phase's per-link accumulators, and the costing being filled.
 #[derive(Debug)]
 struct Scratch {
     /// Fluid schedule of the round being counted.
@@ -110,10 +161,7 @@ struct Scratch {
     phase_busy: Vec<f64>,
     /// Per-link payload bytes deposited by the current phase.
     phase_bytes: Vec<u64>,
-    /// Per-link busy seconds over the whole run.
-    link_busy: Vec<f64>,
-    /// Per-link payload bytes over the whole run.
-    link_bytes: Vec<u64>,
+    costing: JobCosting,
 }
 
 impl Default for Scratch {
@@ -126,8 +174,7 @@ impl Default for Scratch {
             total_intra: 0,
             phase_busy: Vec::new(),
             phase_bytes: Vec::new(),
-            link_busy: Vec::new(),
-            link_bytes: Vec::new(),
+            costing: JobCosting::default(),
         }
     }
 }
@@ -150,10 +197,7 @@ impl Scratch {
         self.phase_busy.resize(links, 0.0);
         self.phase_bytes.clear();
         self.phase_bytes.resize(links, 0);
-        self.link_busy.clear();
-        self.link_busy.resize(links, 0.0);
-        self.link_bytes.clear();
-        self.link_bytes.resize(links, 0);
+        self.costing.reset(links);
     }
 
     /// Start counting a fresh communication round.
@@ -247,7 +291,69 @@ impl AnalyticEngine {
     /// are *derived from* the recorded spans; with a disabled recorder
     /// `elapsed` and traffic counters are still exact but `compute`/`comm`
     /// attribution comes out zero.
+    ///
+    /// Costs `job` into pooled scratch and replays it: the same result as
+    /// [`AnalyticEngine::cost`] then [`AnalyticEngine::replay`], without
+    /// allocating a costing per run.
     pub fn run_traced(&self, job: &JobProfile, seed: u64, rec: &mut Recorder) -> SimResult {
+        let mut s = self.scratch.take().unwrap_or_default();
+        self.cost_into(&mut s, job);
+        let result = self.replay(&s.costing, seed, rec);
+        self.scratch.put(s);
+        result
+    }
+
+    /// The seed-independent costing of `job` on this engine, for
+    /// [`AnalyticEngine::replay`] to run any number of seeds from. Its
+    /// working state is dropped afterwards rather than pooled: a caller
+    /// that keeps the costing does not cost the same job again.
+    pub fn cost(&self, job: &JobProfile) -> JobCosting {
+        let mut s = Scratch::default();
+        self.cost_into(&mut s, job);
+        s.costing
+    }
+
+    /// Cost `job` into `s.costing`.
+    fn cost_into(&self, s: &mut Scratch, job: &JobProfile) {
+        let nlinks = self.routes.graph().len();
+        s.reset(nlinks, self.map.nodes as usize);
+        for (step, reps) in &job.steps {
+            let reps = *reps as u64;
+            s.costing.segments.push(Segment {
+                cat: SpanCategory::Compute,
+                name: "solver-compute",
+                seconds: self.step_compute_seconds(step) * reps as f64,
+                bridge_s: 0.0,
+            });
+            for phase in &step.comm {
+                let (cost, cat, name) = self.phase_cost(s, phase);
+                let cost = cost.times(reps);
+                s.scale_phase(reps);
+                let c = &mut s.costing;
+                c.inter_msgs += cost.inter_msgs;
+                c.intra_msgs += cost.intra_msgs;
+                c.inter_bytes += cost.inter_bytes;
+                // per-link tallies stay structural (no jitter): they report
+                // what the fabric carried, not when
+                for i in 0..nlinks {
+                    c.link_busy[i] += s.phase_busy[i];
+                    c.link_bytes[i] += s.phase_bytes[i];
+                }
+                c.segments.push(Segment {
+                    cat,
+                    name,
+                    seconds: cost.seconds,
+                    bridge_s: cost.bridge_s,
+                });
+            }
+        }
+    }
+
+    /// Run one seed of a job costed by [`AnalyticEngine::cost`] on this
+    /// engine, emitting spans through `rec` exactly as
+    /// [`AnalyticEngine::run_traced`] does: the seed only draws the run's
+    /// jitter factor, which scales every segment.
+    pub fn replay(&self, costing: &JobCosting, seed: u64, rec: &mut Recorder) -> SimResult {
         let mut rng = RngStream::new(seed).derive("analytic-run");
         // one multiplicative run-to-run factor (machine state, turbo, ...)
         let run_factor = rng.lognormal_factor(0.004);
@@ -255,52 +361,26 @@ impl AnalyticEngine {
         let mut local = Recorder::like(rec);
         local.declare_tracks(1);
         let mut t = SimTime::ZERO;
-        let mut inter_msgs = 0u64;
-        let mut intra_msgs = 0u64;
-        let mut inter_bytes = 0u64;
-        let nlinks = self.routes.graph().len();
-        let mut s = self.scratch.take().unwrap_or_default();
-        s.reset(nlinks, self.map.nodes as usize);
-
-        for (step, reps) in &job.steps {
-            let reps = *reps as u64;
-            let compute_d = SimDuration::from_secs_f64(
-                self.step_compute_seconds(step) * reps as f64 * run_factor,
-            );
-            local.span(SpanCategory::Compute, "solver-compute", 0, t, t + compute_d);
-            t += compute_d;
-            for phase in &step.comm {
-                let (cost, cat, name) = self.phase_cost(&mut s, phase);
-                let cost = cost.times(reps);
-                s.scale_phase(reps);
-                inter_msgs += cost.inter_msgs;
-                intra_msgs += cost.intra_msgs;
-                inter_bytes += cost.inter_bytes;
-                // per-link tallies stay structural (no jitter): they report
-                // what the fabric carried, not when
-                for i in 0..nlinks {
-                    s.link_busy[i] += s.phase_busy[i];
-                    s.link_bytes[i] += s.phase_bytes[i];
-                }
-                let d = SimDuration::from_secs_f64(cost.seconds * run_factor);
-                local.span(cat, name, 0, t, t + d);
-                if cost.bridge_s > 0.0 {
-                    // nested inside the phase span: the serialized bridge
-                    // share, already part of `d` — informational only
-                    let bd = SimDuration::from_secs_f64(cost.bridge_s * run_factor);
-                    local.span(SpanCategory::Bridge, "bridge-serialization", 0, t, t + bd);
-                }
-                t += d;
+        for seg in &costing.segments {
+            let d = SimDuration::from_secs_f64(seg.seconds * run_factor);
+            local.span(seg.cat, seg.name, 0, t, t + d);
+            if seg.bridge_s > 0.0 {
+                // nested inside the phase span: the serialized bridge
+                // share, already part of `d` — informational only
+                let bd = SimDuration::from_secs_f64(seg.bridge_s * run_factor);
+                local.span(SpanCategory::Bridge, "bridge-serialization", 0, t, t + bd);
             }
+            t += d;
         }
 
-        let links = if inter_bytes > 0 {
+        let links = if costing.inter_bytes > 0 {
             let g = self.routes.graph();
+            debug_assert_eq!(costing.link_busy.len(), g.len(), "costed on another engine");
             (0..g.len())
                 .map(|i| LinkUsage {
                     label: g.label(LinkId(i as u32)),
-                    busy_s: s.link_busy[i],
-                    bytes: s.link_bytes[i],
+                    busy_s: costing.link_busy[i],
+                    bytes: costing.link_bytes[i],
                 })
                 .collect()
         } else {
@@ -310,14 +390,13 @@ impl AnalyticEngine {
             elapsed: t - SimTime::ZERO,
             compute: local.rollup().max_track(SpanCategory::Compute),
             comm: CommBreakdown::from_trace(local.rollup()),
-            inter_node_msgs: inter_msgs,
-            intra_node_msgs: intra_msgs,
-            inter_node_bytes: inter_bytes,
+            inter_node_msgs: costing.inter_msgs,
+            intra_node_msgs: costing.intra_msgs,
+            inter_node_bytes: costing.inter_bytes,
             links,
             engine: "analytic",
         };
         rec.merge(local);
-        self.scratch.put(s);
         result
     }
 

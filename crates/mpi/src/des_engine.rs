@@ -48,8 +48,8 @@
 //! themselves; `shards = 1` (the default) skips threads and barriers
 //! entirely.
 //!
-//! Event payloads are `Copy` values in per-shard slab arenas (or, for a
-//! same-instant follow-up, in the core's FIFO lane); instruction
+//! Event payloads are `Copy` values in the core's delay-class FIFO lanes
+//! (almost all of them) or its slab arena; instruction
 //! queues, resources, and tallies live in pooled `DesScratch` reused across
 //! runs, so the steady-state event loop of `plan.execute(seed)` performs no
 //! heap allocation.
@@ -183,6 +183,14 @@ struct JobCtx {
     intra: TransportParams,
     /// Serialized per-message bridge cost (Docker), 0 on host networking.
     bridge_serial_s: f64,
+    /// [`JobCtx::bridge_serial_s`] as a hold time.
+    bridge_hold: SimDuration,
+    /// Receiver CPU overhead per message, whichever transport it came by.
+    recv_overhead: SimDuration,
+    /// Constant protocol durations of the intra-node transport.
+    intra_times: TransportTimes,
+    /// Constant protocol durations of the inter-node transport.
+    inter_times: TransportTimes,
     config: EngineConfig,
     routes: Arc<RouteTable>,
     /// Per-slot drain rate of each link (bytes/s), dense by link id.
@@ -191,6 +199,32 @@ struct JobCtx {
     domain_of_rank: Arc<[u32]>,
     /// Owning shard of each domain (leaf group), dense by leaf id.
     shard_of_domain: Box<[u32]>,
+}
+
+/// A transport's per-message protocol durations, converted from seconds
+/// once per run rather than once per message (the same `f64` always
+/// converts to the same nanoseconds).
+#[derive(Clone, Copy)]
+struct TransportTimes {
+    /// Sender CPU overhead.
+    send: SimDuration,
+    /// Wire latency (the intra-node pipe's delivery delay).
+    latency: SimDuration,
+    /// One rendezvous leg: latency plus the two CPU overheads.
+    probe: SimDuration,
+    /// The full rendezvous request/ack round trip.
+    handshake: SimDuration,
+}
+
+impl TransportTimes {
+    fn of(t: &TransportParams) -> TransportTimes {
+        TransportTimes {
+            send: SimDuration::from_secs_f64(t.overhead_s),
+            latency: SimDuration::from_secs_f64(t.latency_s),
+            probe: SimDuration::from_secs_f64(t.latency_s + 2.0 * t.overhead_s),
+            handshake: SimDuration::from_secs_f64(2.0 * (t.latency_s + 2.0 * t.overhead_s)),
+        }
+    }
 }
 
 impl JobCtx {
@@ -458,7 +492,7 @@ fn fire(sim: &mut ShardSim, ev: Ev) {
             bytes,
             mid,
         } => {
-            let hold = SimDuration::from_secs_f64(sim.ctx.bridge_serial_s);
+            let hold = sim.ctx.bridge_hold;
             // bridge tracks sit above the rank tracks: ranks + node
             let track = sim.ctx.map.ranks() + node;
             let t0 = sim.now();
@@ -592,8 +626,7 @@ fn fire(sim: &mut ShardSim, ev: Ev) {
             let m = sim.msgs.entry(mid).or_default();
             if m.recv_posted {
                 // receiver ready: ack back to the sender's leaf
-                let t = sim.ctx.inter;
-                let g = SimDuration::from_secs_f64(t.latency_s + 2.0 * t.overhead_s);
+                let g = sim.ctx.inter_times.probe;
                 sim.sched_after(
                     g,
                     Ev::RdvGrant {
@@ -949,6 +982,15 @@ impl DesEngine {
             inter: self.network.inter,
             intra: self.network.intra,
             bridge_serial_s: self.network.node_serialized_per_msg_s,
+            bridge_hold: SimDuration::from_secs_f64(self.network.node_serialized_per_msg_s),
+            recv_overhead: SimDuration::from_secs_f64(
+                self.network
+                    .intra
+                    .overhead_s
+                    .max(self.network.inter.overhead_s),
+            ),
+            intra_times: TransportTimes::of(&self.network.intra),
+            inter_times: TransportTimes::of(&self.network.inter),
             config: self.config.clone(),
             routes: self.routes.clone(),
             link_rate: self.link_rate.clone(),
@@ -1431,8 +1473,7 @@ fn advance(sim: &mut ShardSim, rank: u32) {
                 return;
             }
             PrimOp::Send { dst, bytes, mid } => {
-                let overhead = start_send(sim, rank, dst, bytes, mid);
-                let d = SimDuration::from_secs_f64(overhead);
+                let d = start_send(sim, rank, dst, bytes, mid);
                 let now = sim.now();
                 sim.rec
                     .span(SpanCategory::Protocol, "send-overhead", rank, now, now + d);
@@ -1449,9 +1490,8 @@ fn advance(sim: &mut ShardSim, rank: u32) {
                 if m.arrived {
                     sim.msgs.remove(&mid);
                     // same-node vs inter overhead difference is tiny on the
-                    // receive side; use the transport the sender used
-                    let o = sim.ctx.intra.overhead_s.max(sim.ctx.inter.overhead_s);
-                    let d = SimDuration::from_secs_f64(o);
+                    // receive side; charge the larger of the two
+                    let d = sim.ctx.recv_overhead;
                     sim.rec
                         .span(SpanCategory::Protocol, "recv-overhead", rank, now, now + d);
                     sim.sched_after(d, Ev::Advance { rank });
@@ -1461,9 +1501,7 @@ fn advance(sim: &mut ShardSim, rank: u32) {
                 m.waiting = Some((rank, now, family));
                 if let Some((src, dst, bytes)) = m.rdv_sender.take() {
                     // rendezvous partner was parked: run the handshake now
-                    let t = *transport_for(sim, src, dst);
-                    let handshake = 2.0 * (t.latency_s + 2.0 * t.overhead_s);
-                    let hd = SimDuration::from_secs_f64(handshake);
+                    let hd = times_for(sim, src, dst).handshake;
                     if sim.ctx.same_domain(src, dst) {
                         sim.rec.span(
                             SpanCategory::Protocol,
@@ -1510,8 +1548,17 @@ fn transport_for(sim: &ShardSim, src: u32, dst: u32) -> &TransportParams {
     }
 }
 
+/// [`transport_for`]'s constant durations.
+fn times_for(sim: &ShardSim, src: u32, dst: u32) -> TransportTimes {
+    if sim.ctx.same_node(src, dst) {
+        sim.ctx.intra_times
+    } else {
+        sim.ctx.inter_times
+    }
+}
+
 /// Post a message; returns the sender-side CPU overhead to charge.
-fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f64 {
+fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> SimDuration {
     let same = sim.ctx.same_node(src, dst);
     if same {
         sim.intra_msgs += 1;
@@ -1519,14 +1566,13 @@ fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f
         sim.inter_msgs += 1;
         sim.inter_bytes += bytes;
     }
-    let t = *transport_for(sim, src, dst);
-    if bytes > t.eager_threshold {
+    let times = times_for(sim, src, dst);
+    if bytes > transport_for(sim, src, dst).eager_threshold {
         // rendezvous: the payload may move only once the receiver is ready
         if sim.ctx.same_domain(src, dst) {
             let m = sim.msgs.entry(mid).or_default();
             if m.recv_posted {
-                let handshake = 2.0 * (t.latency_s + 2.0 * t.overhead_s);
-                let hd = SimDuration::from_secs_f64(handshake);
+                let hd = times.handshake;
                 let now = sim.now();
                 sim.rec.span(
                     SpanCategory::Protocol,
@@ -1549,7 +1595,7 @@ fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f
             }
         } else {
             // the receiver's message table lives on another shard: probe it
-            let probe = SimDuration::from_secs_f64(t.latency_s + 2.0 * t.overhead_s);
+            let probe = times.probe;
             let sent_at = sim.now();
             sim.sched_after(
                 probe,
@@ -1565,7 +1611,7 @@ fn start_send(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid: u64) -> f
     } else {
         enqueue_transfer(sim, src, dst, bytes, mid);
     }
-    t.overhead_s
+    times.send
 }
 
 /// Queue the payload on the sending node's wire (NIC or intra pipe),
@@ -1596,7 +1642,7 @@ fn enqueue_transfer_wire(sim: &mut ShardSim, src: u32, dst: u32, bytes: u64, mid
     if sim.ctx.same_node(src, dst) {
         let node = sim.ctx.node_of(src);
         let ser = SimDuration::from_secs_f64(t.serialization_seconds(bytes));
-        let lat = SimDuration::from_secs_f64(t.latency_s);
+        let lat = sim.ctx.intra_times.latency;
         if let Some(ev) = sim.pipes[node as usize].acquire(Ev::PipeGranted {
             node,
             dst,
@@ -1744,8 +1790,7 @@ fn deliver(sim: &mut ShardSim, mid: u64) {
     let m = sim.msgs.entry(mid).or_default();
     if let Some((rank, posted_at, family)) = m.waiting.take() {
         sim.msgs.remove(&mid);
-        let o = sim.ctx.intra.overhead_s.max(sim.ctx.inter.overhead_s);
-        let od = SimDuration::from_secs_f64(o);
+        let od = sim.ctx.recv_overhead;
         let now = sim.now();
         // blocked-wait span: from the posted receive to delivery + overhead
         sim.rec

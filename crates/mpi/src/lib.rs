@@ -33,9 +33,9 @@ pub mod result;
 pub mod thread_mpi;
 pub mod workload;
 
-pub use analytic::AnalyticEngine;
+pub use analytic::{AnalyticEngine, JobCosting};
 pub use des_engine::DesEngine;
-pub use engine::{PerfEngine, TruncatingDes};
+pub use engine::TruncatingDes;
 pub use mapping::{route_table, Placement, RankMap};
 pub use result::{CommBreakdown, LinkUsage, SimResult};
 pub use workload::{CommPhase, JobProfile, StepProfile};

@@ -1,7 +1,7 @@
 //! Bit-level goldens for the message-level DES.
 //!
-//! The event loop is tuned for speed (keyed 4-ary heap plus a same-instant
-//! FIFO lane, precomputed rank tables), and none of that may move a single
+//! The event loop is tuned for speed (keyed 4-ary heap plus delay-class
+//! FIFO lanes, precomputed rank tables), and none of that may move a single
 //! popped `(time, tie)` key. These pins catch any change that does: the
 //! validation matrix's DES times by bit pattern, a multi-leaf fat-tree job
 //! at one, two and four shards, and the open-system campaign's full

@@ -241,3 +241,46 @@ fn response_runtime_error_is_pinned() {
         r#"{"v":1,"kind":"error","error":{"type":"runtime-unavailable","runtime":"Docker","cluster":"CTE-POWER"}}"#,
     );
 }
+
+/// Out-of-range scenario fields are wire errors, not worker panics or
+/// silently different scenarios: the tapers, factors, node and shard
+/// count below would otherwise reach an `assert!` in the scenario builder
+/// or the plan compiler, and the wide counts would wrap.
+#[test]
+fn out_of_range_scenario_fields_are_rejected_at_decode() {
+    let with = |from: &str, to: &str| {
+        assert!(SCENARIO_JSON.contains(from), "fixture lacks {from}");
+        format!(
+            r#"{{"v":1,"kind":"execute","scenario":{},"seed":7}}"#,
+            SCENARIO_JSON.replace(from, to)
+        )
+    };
+    for (from, to) in [
+        (r#""taper":null"#, r#""taper":0"#),
+        (r#""taper":null"#, r#""taper":-1"#),
+        (r#""taper":null"#, r#""taper":1.5"#),
+        (r#""degraded":[]"#, r#""degraded":[[1,0]]"#),
+        (r#""degraded":[]"#, r#""degraded":[[1,-0.5]]"#),
+        (r#""degraded":[]"#, r#""degraded":[[1,2]]"#),
+        (r#""degraded":[]"#, r#""degraded":[[2,0.5]]"#),
+        (r#""shards":1"#, r#""shards":0"#),
+        (r#""shards":1"#, r#""shards":4294967296"#),
+        // counts wider than 32 bits used to wrap (4294967298 nodes ran as 2)
+        (r#""nodes":2"#, r#""nodes":4294967298"#),
+        (r#""rpn":14"#, r#""rpn":4294967310"#),
+    ] {
+        let wire = with(from, to);
+        match decode_request(&wire) {
+            Err(e) => assert!(!e.msg.is_empty(), "{wire}"),
+            Ok(_) => panic!("decoded out-of-range {to}"),
+        }
+    }
+    // the closed ends of the ranges still decode
+    for (from, to) in [
+        (r#""taper":null"#, r#""taper":1"#),
+        (r#""degraded":[]"#, r#""degraded":[[1,1]]"#),
+    ] {
+        let wire = with(from, to);
+        assert!(decode_request(&wire).is_ok(), "{wire}");
+    }
+}
